@@ -302,7 +302,7 @@ def _cmd_scenarios_sweep(arguments: argparse.Namespace) -> int:
     aggregate = result.aggregate()
     print(
         f"\n{aggregate['scenarios']} scenarios, workers={arguments.workers},"
-        f" {result.wall_seconds:.1f}s wall"
+        f" {result.warmups} warm-ups, {result.wall_seconds:.1f}s wall"
         f" ({result.throughput:.2f} scenarios/s),"
         f" worst max {aggregate['worst_max_ms']:.1f} ms"
     )
@@ -693,8 +693,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--prefixes-grid", type=int, nargs="*", default=None,
                        help="grid: prefix-table sizes")
     sweep.add_argument("--failures", nargs="*", default=None,
-                       help="grid: failure campaigns (link_down, link_flap, "
-                            "bfd_loss, session_reset, controller_crash, "
+                       help="grid: failure campaigns (link_down, link_up, "
+                            "link_flap, bfd_loss, session_reset, controller_crash, "
                             "remote_withdraw, remote_nexthop_shift, none)")
     sweep.add_argument("--churn-rates", type=float, nargs="*", default=None,
                        help="grid: RIS churn replay speeds (updates/s, 0 = off)")

@@ -7,6 +7,11 @@ deterministic :class:`~repro.sim.engine.Simulator` — and aggregates the
 per-scenario convergence metrics through
 :mod:`repro.experiments.stats` into a JSON results store.
 
+Scenarios that differ only in name and failures share one warm-up (build,
+table load, initial convergence): the runner converges once per
+:func:`warmup_key` and finishes each failure variant on an ``os.fork``
+copy of the converged lab.
+
 Determinism contract: a scenario's metrics depend only on its spec (which
 embeds the seed), never on the worker count or scheduling order, so the
 ``scenarios`` section of the report is byte-identical across runs with the
@@ -18,6 +23,10 @@ from __future__ import annotations
 import itertools
 import json
 import multiprocessing
+import os
+import pickle
+import signal
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, IO, List, Mapping, Optional, Sequence, Tuple
@@ -59,11 +68,14 @@ def expand_grid(
     """Expand ``grid`` into one validated spec per parameter combination.
 
     Grid keys are :class:`ScenarioSpec` field names, plus the special key
-    ``"failure"`` naming a canned campaign (``link_down``, ``link_flap``,
-    ``bfd_loss``, ``session_reset``, ``controller_crash`` or ``none``).
-    Each scenario gets a descriptive name and the derived seed
-    ``base.seed + index`` so simulations are decorrelated but reproducible
-    from the single base seed.
+    ``"failure"`` naming a canned campaign (``link_down``, ``link_up``,
+    ``link_flap``, ``bfd_loss``, ``session_reset``, ``controller_crash``,
+    ``remote_withdraw``, ``remote_nexthop_shift`` or ``none``).
+    Each scenario gets a descriptive name and, unless the grid pins
+    ``seed``, the derived seed ``base.seed + index`` so simulations are
+    decorrelated but reproducible from the single base seed.  Only a
+    pinned-seed sweep therefore yields failure variants that share a
+    :func:`warmup_key`.
     """
     spec_fields = set(ScenarioSpec.__dataclass_fields__)
     for key in grid:
@@ -111,23 +123,56 @@ def run_scenario(spec: ScenarioSpec, timeout: float = 600.0) -> Dict[str, Any]:
     return record
 
 
-def execute_scenario(
+#: A converged lab ready for its failure campaign: ``(sim, lab, converged)``.
+WarmLab = Tuple[Simulator, ScenarioLab, bool]
+
+
+def warmup_key(spec: ScenarioSpec) -> str:
+    """Specs with equal keys reach the same converged state before their
+    failures are armed, so they can share one :func:`warm_up`.
+
+    The key is every spec field except ``name`` and ``failures``: any other
+    field may shape the build, the table load or the convergence."""
+    data = spec.to_dict()
+    del data["name"], data["failures"]
+    return json.dumps(data, sort_keys=True)
+
+
+def warm_up(
     spec: ScenarioSpec,
     timeout: float = 600.0,
     trace_sink: Optional[IO[str]] = None,
-) -> "Tuple[Dict[str, Any], ScenarioLab]":
-    """Like :func:`run_scenario`, but also returns the finished lab so
-    callers (``cli trace``, tests) can inspect its telemetry context.
-    ``trace_sink`` streams every trace event to a JSONL file as it is
-    emitted (``cli trace --out``), bypassing the ring buffer's capacity."""
+) -> WarmLab:
+    """Build ``spec``'s lab, load every feed and wait for initial
+    convergence — the part of a scenario its failures do not affect."""
     sim = Simulator(seed=spec.seed)
     lab = build_scenario(sim, spec, trace_sink=trace_sink)
     lab.start()
     lab.load_feeds()
     converged = lab.wait_converged(timeout=timeout)
+    return sim, lab, converged
+
+
+def execute_scenario(
+    spec: ScenarioSpec,
+    timeout: float = 600.0,
+    trace_sink: Optional[IO[str]] = None,
+    warm: Optional[WarmLab] = None,
+) -> "Tuple[Dict[str, Any], ScenarioLab]":
+    """Like :func:`run_scenario`, but also returns the finished lab so
+    callers (``cli trace``, tests) can inspect its telemetry context.
+    ``trace_sink`` streams every trace event to a JSONL file as it is
+    emitted (``cli trace --out``), bypassing the ring buffer's capacity.
+
+    ``warm`` is a :func:`warm_up` result for a spec with the same
+    :func:`warmup_key`; the scenario then runs on (and consumes) that lab
+    instead of warming up its own, and ``trace_sink`` is unused."""
+    sim, lab, converged = (
+        warm if warm is not None else warm_up(spec, timeout, trace_sink)
+    )
     lab.setup_monitoring()
     injector = FailureInjector(lab)
-    injector.arm()
+    injector.arm(spec.failures)
     churn_scheduled = lab.start_churn()
     horizon = max(spec.failure_horizon, lab.churn_horizon)
     if horizon > 0:
@@ -249,10 +294,87 @@ def execute_scenario(
     return record, lab
 
 
-def _run_scenario_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Pool worker entry point (module-level for picklability)."""
-    spec = ScenarioSpec.from_dict(payload["spec"])
-    return run_scenario(spec, timeout=payload["timeout"])
+def _run_group(payload: Dict[str, Any]) -> Tuple[List[Dict[str, Any]], int]:
+    """Run one warm-up group; returns its records in order and the number
+    of warm-ups performed (pool worker entry point, module-level for
+    picklability).
+
+    Every variant but the last finishes in a forked child of one converged
+    lab; the last finishes here through :func:`execute_scenario`, so a
+    one-spec group is a plain call.  Without ``os.fork`` every variant
+    warms up its own lab."""
+    specs = [ScenarioSpec.from_dict(data) for data in payload["specs"]]
+    timeout = payload["timeout"]
+    if len(specs) == 1 or not hasattr(os, "fork"):
+        records = [execute_scenario(spec, timeout=timeout)[0] for spec in specs]
+        return records, len(specs)
+    warm = warm_up(specs[0], timeout=timeout)
+    records = [_forked_record(spec, timeout, warm) for spec in specs[:-1]]
+    records.append(execute_scenario(specs[-1], timeout=timeout, warm=warm)[0])
+    return records, 1
+
+
+def _forked_record(spec: ScenarioSpec, timeout: float, warm: WarmLab) -> Dict[str, Any]:
+    """Finish ``spec`` in a forked child on a copy-on-write image of
+    ``warm`` and return its record, unpickled from a pipe.
+
+    Pickle, not JSON, carries the record: a JSON round trip would turn int
+    dict keys into strings.  A child exception is re-raised here.  The
+    child leaves through ``os._exit`` and stdio is flushed before the fork,
+    so inherited buffers and exit handlers never run twice."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                outcome: Tuple[Any, ...] = (
+                    True, execute_scenario(spec, timeout=timeout, warm=warm)[0]
+                )
+            except Exception as error:
+                import traceback  # only on failure: keeps it off start-up
+
+                outcome = (False, _picklable(error), traceback.format_exc())
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(outcome, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+            sys.stdout.flush()
+            sys.stderr.flush()
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            data = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _pid, status = os.waitpid(pid, 0)
+    if not data:
+        raise RuntimeError(
+            f"scenario {spec.name!r}: forked child exited with status {status}"
+            " and sent no record"
+        )
+    outcome = pickle.loads(data)
+    if not outcome[0]:
+        raise outcome[1] from RuntimeError(
+            f"in the forked child of scenario {spec.name!r}:\n{outcome[2]}"
+        )
+    return outcome[1]
+
+
+def _picklable(error: Exception) -> Exception:
+    """``error`` if it survives a pickle round trip, else a RuntimeError
+    carrying its type and message."""
+    try:
+        pickle.loads(pickle.dumps(error))
+    except Exception:
+        return RuntimeError(f"{type(error).__name__}: {error}")
+    return error
 
 
 # ----------------------------------------------------------------------
@@ -266,6 +388,9 @@ class CampaignResult:
     workers: int
     wall_seconds: float
     base_seed: int
+    #: Table loads and initial convergences performed (one per warm-up
+    #: group when ``os.fork`` is available, else one per scenario).
+    warmups: int = 0
 
     @property
     def throughput(self) -> float:
@@ -322,6 +447,7 @@ class CampaignResult:
                 "workers": self.workers,
                 "wall_seconds": round(self.wall_seconds, 3),
                 "throughput_scenarios_per_s": round(self.throughput, 3),
+                "warmups": self.warmups,
             },
             "scenarios": self.scenarios,
             "aggregate": self.aggregate(),
@@ -433,10 +559,13 @@ class CampaignResult:
 class CampaignRunner:
     """Executes a list of scenario specs, optionally on a worker pool.
 
-    ``workers=1`` runs in-process (easiest to debug); ``workers>1`` maps
-    the scenarios over a ``multiprocessing`` pool.  Every worker rebuilds
-    its scenario from the primitive spec dict, so results are independent
-    of the pool size.
+    Specs are grouped by :func:`warmup_key` in first-appearance order; each
+    group warms up once and forks per failure variant (see
+    :func:`_run_group`).  ``workers=1`` runs the groups in-process (easiest
+    to debug); ``workers>1`` maps them over a ``multiprocessing`` pool.
+    Every group rebuilds its scenarios from the primitive spec dicts, and
+    records come back in spec order, so results are independent of the
+    pool size and of the grouping.
     """
 
     specs: List[ScenarioSpec]
@@ -449,23 +578,38 @@ class CampaignRunner:
         """Execute every scenario and aggregate the results."""
         if not self.specs:
             raise ScenarioSpecError("campaign has no scenarios")
+        groups: Dict[str, List[int]] = {}
+        for index, spec in enumerate(self.specs):
+            groups.setdefault(warmup_key(spec), []).append(index)
+        members = list(groups.values())
         payloads = [
-            {"spec": spec.to_dict(), "timeout": self.timeout} for spec in self.specs
+            {
+                "specs": [self.specs[index].to_dict() for index in indices],
+                "timeout": self.timeout,
+            }
+            for indices in members
         ]
         started = time.perf_counter()
         if self.workers > 1:
             context = multiprocessing.get_context(_pool_start_method())
             processes = min(self.workers, len(payloads))
             with context.Pool(processes=processes) as pool:
-                rows = pool.map(_run_scenario_payload, payloads)
+                outcomes = pool.map(_run_group, payloads)
         else:
-            rows = [_run_scenario_payload(payload) for payload in payloads]
+            outcomes = [_run_group(payload) for payload in payloads]
         wall = time.perf_counter() - started
+        rows: List[Dict[str, Any]] = [{} for _ in self.specs]
+        warmups = 0
+        for indices, (records, group_warmups) in zip(members, outcomes):
+            warmups += group_warmups
+            for index, record in zip(indices, records):
+                rows[index] = record
         self.result = CampaignResult(
             scenarios=rows,
             workers=self.workers,
             wall_seconds=wall,
             base_seed=self.specs[0].seed,
+            warmups=warmups,
         )
         return self.result
 

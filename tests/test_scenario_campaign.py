@@ -1,15 +1,22 @@
 """Tests for grid expansion, the campaign runner and the generator."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import repro
 from repro.scenarios.campaign import (
     CampaignRunner,
     expand_grid,
     run_campaign,
     run_scenario,
+    warmup_key,
 )
+from repro.scenarios.failures import FailureInjector
 from repro.scenarios.generator import random_fan_specs
 from repro.scenarios.presets import get_preset
 from repro.scenarios.spec import ScenarioSpec, ScenarioSpecError
@@ -235,3 +242,143 @@ class TestReviewRegressions:
         )
         record = run_scenario(spec)
         assert record["detection_ms"] is not None
+
+
+PARITY_FAILURES = [
+    "link_down", "link_up", "link_flap", "bfd_loss", "session_reset",
+    "remote_withdraw", "remote_nexthop_shift", "none",
+]
+
+
+def _fresh_json(specs):
+    """Records of a fresh, unshared run per spec, in the campaign's form."""
+    return json.dumps([run_scenario(spec) for spec in specs], sort_keys=True)
+
+
+class TestSharedWarmup:
+    def test_warmup_key_ignores_only_name_and_failures(self):
+        base = _base(seed=70)
+        variant = base.with_overrides(name="other", failures=[]).validate()
+        assert warmup_key(base) == warmup_key(variant)
+        assert warmup_key(base) != warmup_key(base.with_overrides(seed=71))
+        assert warmup_key(base) != warmup_key(
+            base.with_overrides(bfd_interval=0.05)
+        )
+
+    def test_grouped_figure4_grid_matches_fresh_runs(self):
+        specs = expand_grid(
+            _base(seed=71), {"failure": PARITY_FAILURES, "seed": [71]}
+        )
+        result = CampaignRunner(specs, workers=1).run()
+        assert result.warmups == 1
+        assert result.scenarios_json() == _fresh_json(specs)
+
+    def test_grouped_controller_crash_campaign_matches_fresh_runs(self):
+        base = get_preset(
+            "redundant-controllers", num_prefixes=25, monitored_flows=3, seed=72
+        )
+        specs = [base] + expand_grid(
+            base, {"failure": ["controller_crash", "link_down", "none"], "seed": [72]}
+        )
+        result = CampaignRunner(specs, workers=1).run()
+        assert result.warmups == 1
+        assert result.scenarios_json() == _fresh_json(specs)
+
+    def test_interleaved_seeds_keep_spec_order(self):
+        specs = expand_grid(
+            _base(), {"failure": ["link_down", "none"], "seed": [73, 74]}
+        )
+        assert [spec.seed for spec in specs] == [73, 74, 73, 74]
+        result = CampaignRunner(specs, workers=1).run()
+        assert result.warmups == 2
+        assert result.to_report()["campaign"]["warmups"] == 2
+        assert [row["name"] for row in result.scenarios] == [s.name for s in specs]
+        assert result.scenarios_json() == _fresh_json(specs)
+
+    def test_pooled_grouped_campaign_matches_serial(self):
+        specs = expand_grid(
+            _base(), {"failure": ["link_down", "bfd_loss", "none"], "seed": [75, 76]}
+        )
+        serial = CampaignRunner(specs, workers=1).run()
+        pooled = CampaignRunner(specs, workers=2).run()
+        assert serial.scenarios_json() == pooled.scenarios_json()
+        assert serial.warmups == pooled.warmups == 2
+
+    def test_without_fork_every_variant_warms_up(self, monkeypatch):
+        specs = expand_grid(
+            _base(seed=77), {"failure": ["link_down", "none"], "seed": [77]}
+        )
+        grouped = CampaignRunner(specs, workers=1).run()
+        monkeypatch.delattr(os, "fork")
+        unshared = CampaignRunner(specs, workers=1).run()
+        assert (grouped.warmups, unshared.warmups) == (1, 2)
+        assert grouped.scenarios_json() == unshared.scenarios_json()
+
+
+class ArmFailed(Exception):
+    """Raised by the patched injector below."""
+
+
+def _arm_raising_for(kind):
+    original = FailureInjector.arm
+
+    def arm(self, failures=None, start=None):
+        if any(failure.kind == kind for failure in failures or []):
+            raise ArmFailed(f"cannot arm {kind}")
+        return original(self, failures, start)
+
+    return arm
+
+
+class TestForkedVariantFailures:
+    def test_child_exception_is_reraised_and_children_reaped(self, monkeypatch):
+        monkeypatch.setattr(FailureInjector, "arm", _arm_raising_for("link_down"))
+        specs = expand_grid(
+            _base(seed=78), {"failure": ["link_down", "none"], "seed": [78]}
+        )
+        with pytest.raises(ArmFailed, match="^cannot arm link_down$"):
+            CampaignRunner(specs, workers=1).run()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_parent_stdout_is_not_duplicated(self):
+        # A pipe (without PYTHONUNBUFFERED) makes stdout block-buffered, so
+        # a buffer left unflushed before the fork would be written twice.
+        script = textwrap.dedent(
+            """
+            from repro.scenarios.campaign import CampaignRunner, expand_grid
+            from repro.scenarios.failures import FailureInjector
+            from repro.scenarios.presets import get_preset
+
+            original = FailureInjector.arm
+
+            def arm(self, failures=None, start=None):
+                if any(f.kind == "link_down" for f in failures or []):
+                    raise RuntimeError("cannot arm link_down")
+                return original(self, failures, start)
+
+            base = get_preset("figure4", num_prefixes=10, monitored_flows=2)
+            grid = {"failure": ["bfd_loss", "link_down", "none"], "seed": [79]}
+            specs = expand_grid(base, grid)
+            print("before the campaign")
+            CampaignRunner(specs, workers=1).run()
+            FailureInjector.arm = arm
+            print("between the campaigns")
+            try:
+                CampaignRunner(specs, workers=1).run()
+            except RuntimeError as error:
+                print("raised", error)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONUNBUFFERED", None)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE, env=env, check=True, timeout=300,
+        )
+        assert done.stdout.decode().splitlines() == [
+            "before the campaign",
+            "between the campaigns",
+            "raised cannot arm link_down",
+        ]

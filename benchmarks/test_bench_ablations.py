@@ -1,5 +1,5 @@
-"""Ablation benchmarks (DESIGN.md experiments ``abl-switch-latency`` and
-``abl-hierfib``).
+"""Ablation benchmarks: switch-programming latency and router-FIB
+organisation (:mod:`repro.experiments.ablations`).
 
 They decompose the supercharged ~150 ms budget (failure detection vs switch
 programming) and compare the router-FIB organisations the paper discusses:

@@ -15,6 +15,10 @@ Run with::
 
     python examples/scenario_campaign.py [--seed N] [--workers N]
         [--output scenario_campaign_results.json]
+
+The default output is the committed golden report that
+``tests/test_scenario_campaign.py`` compares against: a rerun at the
+defaults rewrites only its wall-clock ``campaign`` header.
 """
 
 from __future__ import annotations

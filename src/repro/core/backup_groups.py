@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.bgp.rib import RibChange
 from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
 from repro.core.vnh_allocator import VnhAllocator
-from repro.routes.prefixcodec import decode_prefix
+from repro.routes.prefixcodec import decode_prefix, encode_prefix
 
 GroupKey = Tuple[IPv4Address, ...]
 
@@ -31,10 +31,8 @@ GroupKey = Tuple[IPv4Address, ...]
 class BackupGroup:
     """One (primary, backup, …) group and its virtual identity.
 
-    Membership is held in :attr:`members` as raw keys — either
-    :class:`IPv4Prefix` objects (the base manager) or integer-coded
-    prefixes (the remote planner's full-DFZ mode, see
-    :mod:`repro.routes.prefixcodec`).  :attr:`prefixes` decodes a
+    Membership is held in :attr:`members` as integer-coded prefixes
+    (:mod:`repro.routes.prefixcodec`).  :attr:`prefixes` decodes a
     prefix-object view on demand; hot paths should use ``members`` /
     :attr:`prefix_count` and never force the decode.
     """
@@ -42,16 +40,13 @@ class BackupGroup:
     key: GroupKey
     vnh: IPv4Address
     vmac: MacAddress
-    #: Raw membership keys: IPv4Prefix objects or int codes, never mixed.
-    members: Set = field(default_factory=set)
+    #: Int codes of the member prefixes.
+    members: Set[int] = field(default_factory=set)
 
     @property
     def prefixes(self) -> Set[IPv4Prefix]:
         """Member prefixes as objects (decoded view; allocates per call)."""
-        return {
-            decode_prefix(member) if isinstance(member, int) else member
-            for member in self.members
-        }
+        return {decode_prefix(code) for code in self.members}
 
     @property
     def primary(self) -> IPv4Address:
@@ -103,7 +98,8 @@ class BackupGroupManager:
         self._allocator = allocator
         self.group_size = group_size
         self._groups: Dict[GroupKey, BackupGroup] = {}
-        self._group_of_prefix: Dict[IPv4Prefix, GroupKey] = {}
+        #: Prefix int code -> key of the group it is mapped to.
+        self._group_of_prefix: Dict[int, GroupKey] = {}
         self.updates_processed = 0
 
     # ------------------------------------------------------------------
@@ -115,7 +111,7 @@ class BackupGroupManager:
 
     def group_for_prefix(self, prefix: IPv4Prefix) -> Optional[BackupGroup]:
         """The group ``prefix`` is currently mapped to, if any."""
-        key = self._group_of_prefix.get(prefix)
+        key = self._group_of_prefix.get(encode_prefix(prefix))
         return self._groups.get(key) if key is not None else None
 
     def group_by_key(self, key: GroupKey) -> Optional[BackupGroup]:
@@ -153,19 +149,21 @@ class BackupGroupManager:
         """Digest one ranked-route change and emit provisioning actions.
 
         The logic follows the paper's Listing 1 with one deliberate
-        correction, documented in DESIGN.md: when a prefix has two or more
-        paths, it is *always* announced with its group's VNH (the listing's
-        final ``send(bgp_upd)`` branch would leak the real next hop and
-        break the indirection for that prefix).
+        correction: when a prefix has two or more paths, it is *always*
+        announced with its group's VNH.  The listing's final
+        ``send(bgp_upd)`` branch would leak the real next hop to the
+        router, which would then forward that prefix around the switch
+        rule and lose the one-flow-mod failover.
         """
         self.updates_processed += 1
         prefix = change.prefix
+        code = encode_prefix(prefix)
         new_next_hops = _distinct_next_hops(change)
         actions: List[ProvisioningAction] = []
 
         if not new_next_hops:
             # Prefix disappeared entirely.
-            actions.extend(self._unassign(prefix))
+            self._unassign(code)
             if change.old_ranking:
                 actions.append(ProvisioningAction(kind=ActionKind.WITHDRAW, prefix=prefix))
             return actions
@@ -173,7 +171,7 @@ class BackupGroupManager:
         if len(new_next_hops) == 1:
             # No backup available: announce the real next hop (Listing 1's
             # ``len(new) == 1`` branch) and drop any previous group mapping.
-            actions.extend(self._unassign(prefix))
+            self._unassign(code)
             actions.append(
                 ProvisioningAction(
                     kind=ActionKind.ANNOUNCE_REAL,
@@ -184,13 +182,13 @@ class BackupGroupManager:
             return actions
 
         key: GroupKey = tuple(new_next_hops[: self.group_size])
-        previous_key = self._group_of_prefix.get(prefix)
+        previous_key = self._group_of_prefix.get(code)
         if previous_key == key:
             # Same backup group: nothing to (re-)provision.
             return actions
 
         if previous_key is not None:
-            actions.extend(self._unassign(prefix))
+            self._unassign(code)
 
         group = self._groups.get(key)
         if group is None:
@@ -198,8 +196,8 @@ class BackupGroupManager:
             group = BackupGroup(key=key, vnh=vnh, vmac=vmac)
             self._groups[key] = group
             actions.append(ProvisioningAction(kind=ActionKind.GROUP_CREATED, group=group))
-        group.members.add(prefix)
-        self._group_of_prefix[prefix] = key
+        group.members.add(code)
+        self._group_of_prefix[code] = key
         actions.append(
             ProvisioningAction(
                 kind=ActionKind.ANNOUNCE_VIRTUAL,
@@ -213,21 +211,14 @@ class BackupGroupManager:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _unassign(self, prefix: IPv4Prefix) -> List[ProvisioningAction]:
-        key = self._group_of_prefix.pop(prefix, None)
-        if key is None:
-            return []
-        group = self._groups.get(key)
-        if group is None:
-            return []
-        group.members.discard(prefix)
-        if not group.members:
-            # Keep empty groups alive: their switch rule and VNH remain valid
-            # and will be reused if the same (primary, backup) pair reappears,
-            # which avoids churn during large reconvergence events.  They can
-            # be garbage collected explicitly.
-            return []
-        return []
+    def _unassign(self, code: int) -> None:
+        group = self._groups.get(self._group_of_prefix.pop(code, None))
+        if group is not None:
+            # An emptied group stays alive: its switch rule and VNH remain
+            # valid and are reused if the same (primary, backup) pair
+            # reappears, which avoids churn during large reconvergence
+            # events.  collect_empty_groups() garbage-collects explicitly.
+            group.members.discard(code)
 
     def note_group_pointed(self, group: BackupGroup, next_hop: IPv4Address) -> None:
         """Hook: the data-plane convergence procedure repointed ``group``'s

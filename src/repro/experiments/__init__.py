@@ -6,8 +6,8 @@
   update-processing micro-benchmark (2 × 500 k updates, p99 < 125 ms).
 * :mod:`repro.experiments.backup_group_analysis` — the n·(n−1) backup-group
   count analysis from §2.
-* :mod:`repro.experiments.ablations` — sensitivity studies called out in
-  DESIGN.md (BFD interval, flow-mod latency, FIB organisation).
+* :mod:`repro.experiments.ablations` — sensitivity studies of the ~150 ms
+  supercharged budget (BFD interval, flow-mod latency, FIB organisation).
 * :mod:`repro.experiments.detection` — the BFD-vs-BGP detection-time split
   for local vs remote faults (the §5 remote-failure extension).
 * :mod:`repro.experiments.stats` — box-plot statistics shared by all of the

@@ -1,4 +1,4 @@
-"""Ablation studies called out in DESIGN.md.
+"""Ablation studies around the paper's single measured configuration.
 
 The paper reports a single supercharged configuration; these sweeps expose
 where its ~150 ms budget comes from and how the alternative designs

@@ -264,8 +264,10 @@ class FlowTable:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def lookup(self, frame: EthernetFrame, in_port: int) -> Optional[FlowEntry]:
-        """Highest-priority matching entry, updating its counters."""
+    def match(self, frame: EthernetFrame, in_port: int) -> Optional[FlowEntry]:
+        """Highest-priority matching entry (FIFO within a priority), with
+        no side effect: the first entry of :meth:`entries` that matches,
+        found through the ``eth_dst`` index instead of a scan."""
         seq = self._seq
         best = None
         bucket = self._dst_buckets.get(frame.dst_mac)
@@ -286,11 +288,15 @@ class FlowTable:
             if entry.match.matches(frame, in_port):
                 best = entry
                 break
-        if best is None:
-            return None
-        stats = self._stats[id(best)]
-        stats.packets += 1
-        stats.bytes += frame.size_bytes
+        return best
+
+    def lookup(self, frame: EthernetFrame, in_port: int) -> Optional[FlowEntry]:
+        """:meth:`match`, counting the frame against the matched entry."""
+        best = self.match(frame, in_port)
+        if best is not None:
+            stats = self._stats[id(best)]
+            stats.packets += 1
+            stats.bytes += frame.size_bytes
         return best
 
     def stats(self, entry: FlowEntry) -> FlowStats:

@@ -11,9 +11,8 @@ call, and — crucially — **sorts identically** to the prefix objects
 (:class:`IPv4Prefix` orders by ``(network, length)`` and the code is
 exactly that tuple read as one integer).  Every deterministic iteration
 order in the planner/RIB layer (sorted prefixes, ``min()`` of a pending
-buffer) is therefore preserved bit-for-bit when prefix objects are
-swapped for codes, which is what keeps campaign sweeps byte-identical
-across the object/int A/B knob.
+buffer) follows prefix order, so the group managers key all route state
+by code and campaign sweeps stay byte-identical to prefix-object order.
 
 Only *masked* networks are valid codes: :func:`encode` masks host bits
 exactly like the :class:`IPv4Prefix` constructor, so

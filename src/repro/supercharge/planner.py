@@ -59,11 +59,10 @@ class RemoteGroup(BackupGroup):
     #: diverge from ``primary`` between a failover and the key refresh).
     active: Optional[IPv4Address] = None
     #: Members whose ranking moved away from the group, awaiting the
-    #: engine's flush: member key (prefix object, or int code in the
-    #: planner's int-key mode) -> its new ranked distinct next hops.
-    #: Int codes sort exactly like the prefix objects, so every ordered
-    #: consumer (``min``, ``sorted``) is mode-independent.
-    pending: Dict = field(default_factory=dict)
+    #: engine's flush: prefix int code -> its new ranked distinct next
+    #: hops.  Codes sort exactly like the prefix objects, so ordered
+    #: consumers (``min``, ``sorted``) follow prefix order.
+    pending: Dict[int, Tuple[IPv4Address, ...]] = field(default_factory=dict)
     #: How many times the group's rule was repointed by the remote path.
     repoints: int = 0
 
@@ -86,33 +85,23 @@ class RemoteGroupPlanner(BackupGroupManager):
     allocation order, announcements) is identical, so an A/B between the
     two modes differs only while a remote event is being absorbed.
 
-    With ``int_keys=True`` (the full-DFZ scale mode, ScenarioSpec knob
-    ``int_coded``) membership and pending buffers are keyed by
-    integer-coded prefixes (:mod:`repro.routes.prefixcodec`) instead of
-    prefix objects: roughly half the resident memory per route and no
-    object hashing on the churn path.  Codes sort identically to the
-    objects, so every deterministic iteration — and therefore every
-    campaign byte — is unchanged by the knob; prefix objects appear only
-    at the edges (incoming :class:`RibChange`, emitted actions, the
-    per-prefix fallback).
+    Membership and pending buffers are keyed by integer-coded prefixes
+    (:mod:`repro.routes.prefixcodec`), like the base manager.  Prefix
+    objects appear only at the edges (incoming :class:`RibChange`,
+    emitted actions, the per-prefix fallback).  The live path
+    (:meth:`process_change`) and the scale path (:meth:`load_code`,
+    :meth:`defer_code`) share one join step and one deferral step, so
+    both build and drain the same groups.
     """
 
-    def __init__(
-        self,
-        allocator: VnhAllocator,
-        group_size: int = 2,
-        *,
-        int_keys: bool = False,
-    ) -> None:
+    def __init__(self, allocator: VnhAllocator, group_size: int = 2) -> None:
         super().__init__(allocator, group_size=group_size)
-        #: A/B knob: key membership/pending by int-coded prefixes.
-        self.int_keys = int_keys
         # Storage replaces the base manager's key-indexed dicts: groups
-        # live under their stable VMAC, member keys map to group objects,
+        # live under their stable VMAC, member codes map to group objects,
         # and a separate join index tracks which group accepts new members
         # for a given ranking key.
         self._groups: Dict[MacAddress, RemoteGroup] = {}
-        self._group_of_prefix: Dict = {}  # member key -> RemoteGroup
+        self._group_of_prefix: Dict[int, RemoteGroup] = {}  # code -> group
         self._join_index: Dict[GroupKey, RemoteGroup] = {}
         #: Groups with a non-empty pending buffer, keyed by VMAC in
         #: first-deferral order (consumed by the engine's flush).
@@ -122,13 +111,9 @@ class RemoteGroupPlanner(BackupGroupManager):
     # ------------------------------------------------------------------
     # Queries (overriding the key-indexed base implementations)
     # ------------------------------------------------------------------
-    def member_key(self, prefix: IPv4Prefix):
-        """The raw membership key for ``prefix`` under the current mode."""
-        return encode_prefix(prefix) if self.int_keys else prefix
-
     def group_for_prefix(self, prefix: IPv4Prefix) -> Optional[RemoteGroup]:
         """The group ``prefix`` is currently mapped to, if any."""
-        return self._group_of_prefix.get(self.member_key(prefix))
+        return self._group_of_prefix.get(encode_prefix(prefix))
 
     def group_by_key(self, key: GroupKey) -> Optional[RemoteGroup]:
         """The group currently accepting new prefixes for ``key``."""
@@ -171,54 +156,37 @@ class RemoteGroupPlanner(BackupGroupManager):
         """
         self.updates_processed += 1
         prefix = change.prefix
-        member = encode_prefix(prefix) if self.int_keys else prefix
+        code = encode_prefix(prefix)
         hops = tuple(_distinct_next_hops(change))
-        group = self._group_of_prefix.get(member)
+        group = self._group_of_prefix.get(code)
         if group is None:
             return self._assign(
-                prefix, member, hops, had_ranking=bool(change.old_ranking)
+                prefix, code, hops, had_ranking=bool(change.old_ranking)
             )
-        if hops[: self.group_size] == group.key and group.active_next_hop == group.primary:
-            # Ranking churned back to (or never left) the group's steady
-            # state: drop any parked deferral for this prefix.
-            if group.pending.pop(member, None) is not None and not group.pending:
-                self._dirty.pop(group.vmac, None)
-            return []
-        group.pending[member] = hops
-        self._dirty.setdefault(group.vmac, group)
-        self.changes_deferred += 1
+        self._defer(group, code, hops)
         return []
 
     # ------------------------------------------------------------------
-    # Int-coded bulk entry points (the full-DFZ scale pipeline)
+    # Bulk entry points (the full-DFZ scale pipeline)
     # ------------------------------------------------------------------
     def load_code(self, code: int, hops: Tuple[IPv4Address, ...]) -> bool:
         """Bulk-load one int-coded multi-path prefix into its group.
 
         The table-build path of the scale pipeline (streaming MRT ingest,
-        shard workers): identical group selection and VNH allocation
-        order as :meth:`process_change`, but no provisioning actions are
-        materialised and no prefix object ever exists — callers provision
-        switch rules from :meth:`groups` afterwards.  Returns whether the
-        prefix was grouped (``False``: single-path, left ungrouped).
-        Requires ``int_keys`` mode.
+        shard workers): the same join step as :meth:`process_change`, but
+        no provisioning actions are materialised and no prefix object ever
+        exists — callers provision switch rules from :meth:`groups`
+        afterwards.  Returns whether the prefix was grouped (``False``:
+        single-path or VNH pool exhausted, left ungrouped).
         """
         self.updates_processed += 1
         if len(hops) < 2:
             return False
-        key: GroupKey = hops[: self.group_size]
-        group = self._join_index.get(key)
-        if group is None or not self._joinable(group):
-            group = self._create_group(key)
-            if group is None:
-                return False  # VNH pool exhausted: stays ungrouped
-        group.members.add(code)
-        self._group_of_prefix[code] = group
-        return True
+        return self._join(code, hops[: self.group_size])[0] is not None
 
     def defer_code(self, code: int, hops: Tuple[IPv4Address, ...]) -> bool:
         """Park one int-coded ranking change in its group's pending buffer
-        (the deferral branch of :meth:`process_change`, fed straight from
+        (the deferral step of :meth:`process_change`, fed straight from
         a :class:`~repro.bgp.rib.CompactPeerRib` change stream).  Returns
         whether the prefix was grouped; ungrouped codes are the caller's
         problem (per-prefix path)."""
@@ -226,32 +194,7 @@ class RemoteGroupPlanner(BackupGroupManager):
         group = self._group_of_prefix.get(code)
         if group is None:
             return False
-        key = group.key
-        # Equivalent to ``hops[:group_size] == key`` without slicing or a
-        # generator: the deferral stream calls this once per prefix, and
-        # during a failover the comparison fails on hops[0] — one address
-        # compare, zero allocations.
-        length = len(hops)
-        if length > self.group_size:
-            length = self.group_size
-        still_ranked = length == len(key)
-        if still_ranked:
-            for index in range(length):
-                if hops[index] != key[index]:
-                    still_ranked = False
-                    break
-        if still_ranked and group.active_next_hop == group.primary:
-            if group.pending.pop(code, None) is not None and not group.pending:
-                self._dirty.pop(group.vmac, None)
-            return True
-        if not group.pending:
-            # First deferral marks the group dirty; pending and the dirty
-            # set empty together (flush commit/fallback, steady-state
-            # drain), so re-checking per member would just re-hash the
-            # VMAC a few hundred thousand times per failover.
-            self._dirty[group.vmac] = group
-        group.pending[code] = hops
-        self.changes_deferred += 1
+        self._defer(group, code, hops)
         return True
 
     # ------------------------------------------------------------------
@@ -282,27 +225,15 @@ class RemoteGroupPlanner(BackupGroupManager):
         if self._joinable(group) and new_key not in self._join_index:
             self._join_index[new_key] = group
 
-    def reassign(self, member, hops: Tuple[IPv4Address, ...]) -> List[ProvisioningAction]:
-        """Per-prefix fallback: detach the member (a raw membership key,
-        as stored in a ``pending`` buffer) from its group and route it
-        through the normal assignment logic (announce real/virtual or
-        withdraw).  This is the one place the int-key mode materialises a
-        prefix object — the per-prefix path allocates router messages
-        anyway, so the decode is never on the batched fast path."""
-        prefix = decode_prefix(member) if isinstance(member, int) else member
-        self._unassign_member(member)
-        return self._assign(prefix, member, hops, had_ranking=True)
-
-    def unassign(self, prefix: IPv4Prefix) -> None:
-        """Forget the prefix's group membership (keeps empty groups alive,
-        like the base manager, so their VNHs can be reused)."""
-        self._unassign_member(self.member_key(prefix))
-
-    def _unassign_member(self, member) -> None:
-        group = self._group_of_prefix.pop(member, None)
-        if group is not None:
-            group.members.discard(member)
-            group.pending.pop(member, None)
+    def reassign(self, code: int, hops: Tuple[IPv4Address, ...]) -> List[ProvisioningAction]:
+        """Per-prefix fallback: detach the member (an int code, as stored
+        in a ``pending`` buffer) from its group and route it through the
+        normal assignment logic (announce real/virtual or withdraw).  The
+        planner materialises a prefix object only here — the per-prefix
+        path allocates router messages anyway, so the decode is never on
+        the batched fast path."""
+        self._unassign(code)
+        return self._assign(decode_prefix(code), code, hops, had_ranking=True)
 
     def note_group_pointed(self, group: BackupGroup, next_hop: IPv4Address) -> None:
         """Mirror a convergence-procedure redirect into the failover index."""
@@ -342,10 +273,51 @@ class RemoteGroupPlanner(BackupGroupManager):
             and not group.pending
         )
 
+    def _unassign(self, code: int) -> None:
+        group = self._group_of_prefix.pop(code, None)
+        if group is not None:
+            group.members.discard(code)
+            group.pending.pop(code, None)
+
+    def _join(
+        self, code: int, key: GroupKey
+    ) -> Tuple[Optional[RemoteGroup], bool]:
+        """Map ``code`` onto the group accepting ``key``, creating one if
+        none is joinable.  Returns ``(group, created)``; the group is
+        ``None`` when the VNH pool is exhausted (the prefix stays
+        ungrouped)."""
+        group = self._join_index.get(key)
+        created = group is None or not self._joinable(group)
+        if created:
+            group = self._create_group(key)
+            if group is None:
+                return None, False
+        group.members.add(code)
+        self._group_of_prefix[code] = group
+        return group, created
+
+    def _defer(
+        self, group: RemoteGroup, code: int, hops: Tuple[IPv4Address, ...]
+    ) -> None:
+        """Park a grouped prefix's new ranking in ``group.pending``, or drop
+        its parked deferral when the ranking is back at the group's steady
+        state."""
+        if hops[: self.group_size] == group.key and group.active_next_hop == group.primary:
+            if group.pending.pop(code, None) is not None and not group.pending:
+                self._dirty.pop(group.vmac, None)
+            return
+        if not group.pending:
+            # First deferral marks the group dirty; pending and the dirty
+            # set empty together (flush commit/fallback, steady-state
+            # drain), so later deferrals need not re-hash the VMAC.
+            self._dirty[group.vmac] = group
+        group.pending[code] = hops
+        self.changes_deferred += 1
+
     def _assign(
         self,
         prefix: IPv4Prefix,
-        member,
+        code: int,
         hops: Tuple[IPv4Address, ...],
         had_ranking: bool,
     ) -> List[ProvisioningAction]:
@@ -359,22 +331,18 @@ class RemoteGroupPlanner(BackupGroupManager):
                     kind=ActionKind.ANNOUNCE_REAL, prefix=prefix, next_hop=hops[0]
                 )
             ]
-        key: GroupKey = hops[: self.group_size]
+        group, created = self._join(code, hops[: self.group_size])
+        if group is None:
+            # VNH pool exhausted: degrade to the real next hop rather
+            # than failing the announcement.
+            return [
+                ProvisioningAction(
+                    kind=ActionKind.ANNOUNCE_REAL, prefix=prefix, next_hop=hops[0]
+                )
+            ]
         actions: List[ProvisioningAction] = []
-        group = self._join_index.get(key)
-        if group is None or not self._joinable(group):
-            group = self._create_group(key)
-            if group is None:
-                # VNH pool exhausted: degrade to the real next hop rather
-                # than failing the announcement.
-                return [
-                    ProvisioningAction(
-                        kind=ActionKind.ANNOUNCE_REAL, prefix=prefix, next_hop=hops[0]
-                    )
-                ]
+        if created:
             actions.append(ProvisioningAction(kind=ActionKind.GROUP_CREATED, group=group))
-        group.members.add(member)
-        self._group_of_prefix[member] = group
         actions.append(
             ProvisioningAction(
                 kind=ActionKind.ANNOUNCE_VIRTUAL,

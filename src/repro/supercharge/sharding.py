@@ -224,9 +224,7 @@ def build_shard(spec: ShardWorkSpec) -> ShardBuildResult:
         shard_vnh_pool(spec.vnh_pool, spec.shard, spec.num_shards),
         vmac_base=DEFAULT_VMAC_BASE + (spec.shard << 24),
     )
-    planner = RemoteGroupPlanner(
-        allocator, group_size=spec.group_size, int_keys=True
-    )
+    planner = RemoteGroupPlanner(allocator, group_size=spec.group_size)
 
     result = ShardBuildResult(shard=spec.shard)
     for code, indices in _iter_shard_codes(spec, peers):

@@ -102,6 +102,98 @@ class TestFlowTableFifoOrdering:
         assert table.lookup(_frame(), in_port=1).actions.output_port == 1
 
 
+def _fifo_table():
+    table = FlowTable()
+    table.install(FlowEntry(FlowMatch(eth_dst=MAC_2), Actions(output_port=1), priority=100))
+    table.install(FlowEntry(FlowMatch(in_port=5), Actions(output_port=2), priority=100))
+    return table
+
+
+def _priority_table():
+    table = FlowTable()
+    table.install(FlowEntry(FlowMatch(eth_dst=MAC_2), Actions(output_port=1), priority=10))
+    table.install(FlowEntry(FlowMatch(in_port=1), Actions(output_port=3), priority=100))
+    table.install(FlowEntry(FlowMatch(eth_dst=MAC_3), Actions(output_port=2), priority=300))
+    table.install(FlowEntry(FlowMatch(in_port=2), Actions(output_port=4), priority=100))
+    return table
+
+
+def _replaced_table():
+    table = _fifo_table()
+    table.install(FlowEntry(FlowMatch(eth_dst=MAC_2), Actions(output_port=3), priority=100))
+    return table
+
+
+def _modified_table():
+    table = _fifo_table()
+    table.modify(FlowMatch(eth_dst=MAC_2), 100, Actions(output_port=9))
+    return table
+
+
+def _wildcard_first_table():
+    # Equal priority across the wildcard list and an eth_dst bucket: the
+    # earlier install wins, whichever index holds it.
+    table = FlowTable()
+    table.install(FlowEntry(FlowMatch(in_port=5), Actions(output_port=1), priority=100))
+    table.install(FlowEntry(FlowMatch(eth_dst=MAC_2), Actions(output_port=2), priority=100))
+    table.install(FlowEntry(FlowMatch(in_port=7), Actions(output_port=3), priority=50))
+    return table
+
+
+def _bucket_first_table():
+    table = FlowTable()
+    table.install(FlowEntry(FlowMatch(eth_dst=MAC_2), Actions(output_port=2), priority=100))
+    table.install(FlowEntry(FlowMatch(in_port=5), Actions(output_port=1), priority=100))
+    table.install(FlowEntry(FlowMatch(eth_dst=MAC_2, in_port=7), Actions(output_port=3), priority=200))
+    return table
+
+
+class TestFlowTableMatch:
+    """``match`` is the one matcher: the first entry of ``entries()`` whose
+    ``FlowMatch.matches`` holds, found through the index, with no effect
+    on the counters (the path tracer relies on both)."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            _fifo_table,
+            _priority_table,
+            _replaced_table,
+            _modified_table,
+            _wildcard_first_table,
+            _bucket_first_table,
+        ],
+    )
+    def test_match_is_first_matching_entry_and_leaves_stats(self, build):
+        table = build()
+        before = [
+            (table.stats(e).packets, table.stats(e).bytes) for e in table.entries()
+        ]
+        probes = 0
+        for dst_mac in (MAC_1, MAC_2, MAC_3):
+            frame = _frame(dst_mac)
+            for in_port in (1, 2, 5, 7, 9):
+                expected = next(
+                    (e for e in table.entries() if e.match.matches(frame, in_port)),
+                    None,
+                )
+                assert table.match(frame, in_port) is expected
+                probes += expected is not None
+        assert probes > 0
+        after = [
+            (table.stats(e).packets, table.stats(e).bytes) for e in table.entries()
+        ]
+        assert after == before
+
+    def test_lookup_is_match_plus_counter_bump(self):
+        table = _wildcard_first_table()
+        frame = _frame(MAC_2)
+        entry = table.match(frame, 5)
+        assert table.lookup(frame, 5) is entry
+        assert table.stats(entry).packets == 1
+        assert table.stats(entry).bytes == frame.size_bytes
+
+
 class TestFlowTableCapacity:
     def test_replace_at_capacity_succeeds(self):
         # Replacing an existing (match, priority) never counts against the

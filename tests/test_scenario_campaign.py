@@ -382,3 +382,30 @@ class TestForkedVariantFailures:
             "between the campaigns",
             "raised cannot arm link_down",
         ]
+
+
+class TestGoldenCampaign:
+    """The committed ``scenario_campaign_results.json`` pins the example
+    campaign's records: any drift in either group manager, the data plane
+    or the measurement shows up as a diff here."""
+
+    GOLDEN = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "scenario_campaign_results.json",
+    )
+
+    def test_example_grid_reproduces_committed_results(self):
+        # The grid of examples/scenario_campaign.py at its defaults.
+        base = get_preset("figure4", seed=1, monitored_flows=8)
+        grid = {
+            "num_prefixes": [150, 300],
+            "failure": ["link_down", "remote_withdraw"],
+            "remote_groups": [False, True],
+        }
+        result = CampaignRunner(expand_grid(base, grid), workers=1).run()
+        report = json.loads(result.to_json())
+        with open(self.GOLDEN, encoding="utf-8") as handle:
+            golden = json.load(handle)
+        # The ``campaign`` header carries wall-clock and worker count.
+        assert report["scenarios"] == golden["scenarios"]
+        assert report["aggregate"] == golden["aggregate"]

@@ -4,10 +4,11 @@ import pytest
 
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.bgp.decision import rank_routes
-from repro.bgp.rib import LocRib, Route, RouteSource
+from repro.bgp.rib import LocRib, RibChange, Route, RouteSource
 from repro.core.backup_groups import ActionKind, BackupGroupManager
 from repro.core.vnh_allocator import VnhAllocator
 from repro.net.addresses import IPv4Address, IPv4Prefix
+from repro.routes.prefixcodec import encode_prefix
 from repro.sim.engine import Simulator
 from repro.sim.random import SeededRandom
 from repro.supercharge.engine import RemoteRepointEngine
@@ -135,7 +136,7 @@ def test_withdraw_of_grouped_prefix_is_deferred():
     harness = Harness()
     group = _two_prefix_group(harness)
     assert harness.withdraw(P1, PREFIX_A) == []
-    assert group.pending == {PREFIX_A: (P2,)}
+    assert group.pending == {encode_prefix(PREFIX_A): (P2,)}
     assert harness.planner.has_dirty
     assert harness.engine.flush_pending
 
@@ -442,6 +443,83 @@ def test_vnh_pool_exhaustion_degrades_to_real_next_hop():
     assert kinds_seen.count(True) == 6  # pool size
     # The overflow prefixes were announced with their real next hop.
     assert kinds_seen.count(False) == 2
+
+
+# ----------------------------------------------------------------------
+# One loader: live (process_change) and scale (load_code/defer_code) paths
+# ----------------------------------------------------------------------
+#: prefix -> (peer, AS-path length) announcements; shorter paths rank
+#: first.  Covers a single-path prefix, a group shared by two prefixes,
+#: groups the failing peer P1 heads, one it backs up (5.0.0.0/24) and a
+#: prefix it only trails (2.0.0.0/24, whose group stays steady).
+_TABLE = {
+    IPv4Prefix("1.0.0.0/24"): [(P1, 1), (P2, 2)],
+    IPv4Prefix("1.0.1.0/24"): [(P1, 1), (P2, 2), (P3, 3)],
+    IPv4Prefix("2.0.0.0/16"): [(P2, 1), (P3, 2)],
+    IPv4Prefix("2.0.0.0/24"): [(P2, 1), (P3, 2), (P1, 3)],
+    IPv4Prefix("3.0.0.0/24"): [(P1, 1)],
+    IPv4Prefix("4.0.0.0/8"): [(P1, 1), (P3, 2), (P4, 3)],
+    IPv4Prefix("5.0.0.0/24"): [(P3, 1), (P1, 2)],
+}
+
+
+def _hops(change):
+    return tuple(dict.fromkeys(route.next_hop for route in change.new_ranking))
+
+
+def _ranked_table():
+    """The table's final per-prefix rankings (fresh changes, no history)
+    and the Loc-RIB holding them."""
+    loc_rib = LocRib(rank_routes)
+    changes = []
+    for prefix, paths in _TABLE.items():
+        for peer, length in paths:
+            change = loc_rib.update(_route(peer, prefix, path_length=length))
+        changes.append(
+            RibChange(prefix, None, change.new_best, (), change.new_ranking)
+        )
+    return changes, loc_rib
+
+
+def _planner():
+    return RemoteGroupPlanner(VnhAllocator(IPv4Prefix("10.0.0.128/25")))
+
+
+def _group_state(planner):
+    return [
+        (group.key, group.vnh, group.vmac, sorted(group.members))
+        for group in planner.groups()
+    ]
+
+
+def test_live_and_scale_loaders_build_the_same_groups():
+    changes, _ = _ranked_table()
+    live, scale = _planner(), _planner()
+    for change in changes:
+        live.process_change(change)
+        scale.load_code(encode_prefix(change.prefix), _hops(change))
+    assert _group_state(live) == _group_state(scale)
+    assert len(live.groups()) == 4
+    assert live.updates_processed == scale.updates_processed == len(changes)
+
+
+def test_live_and_scale_deferral_leave_the_same_pending_state():
+    changes, loc_rib = _ranked_table()
+    live, scale = _planner(), _planner()
+    for change in changes:
+        live.process_change(change)
+        scale.load_code(encode_prefix(change.prefix), _hops(change))
+    withdraws = [loc_rib.withdraw(prefix, P1) for prefix in _TABLE]
+    for change in withdraws:
+        live.process_change(change)
+        scale.defer_code(encode_prefix(change.prefix), _hops(change))
+    pending = [(group.vmac, group.pending) for group in live.groups()]
+    assert pending == [(group.vmac, group.pending) for group in scale.groups()]
+    assert any(group_pending for _, group_pending in pending)
+    assert live.changes_deferred == scale.changes_deferred == 4
+    dirty = [group.vmac for group in live.take_dirty()]
+    assert dirty == [group.vmac for group in scale.take_dirty()]
+    assert len(dirty) == 3
 
 
 def test_deterministic_flush_order_is_vmac_sorted():
